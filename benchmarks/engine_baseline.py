@@ -22,6 +22,11 @@ probes):
   per-message hook dispatch and phase timing on unsampled rounds, which
   is what keeps this slowdown within the CI-gated 1.5× budget.
 
+The ``kernel`` entry times the numpy round kernels themselves
+(``push_sum_round``, ``pcf_round``, ``pcf_hardened_round``) in µs per
+call at n ∈ {64, 2048, 16384} and d ∈ {1, 3}: the layer-level figure for
+kernel work, informational only.
+
 Wall-clock numbers are machine-dependent; compare ratios, not absolutes.
 """
 
@@ -51,7 +56,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.probes import FlowMagnitudeProbe, MassConservationProbe
 from repro.topology import hypercube
-from repro.vectorized.backends import available_backends
+from repro.vectorized.backends import NumpyKernels, available_backends
 from repro.vectorized.batched import BatchedEngine, BatchedRun
 from repro.vectorized.parity import vector_engine_for
 
@@ -77,6 +82,18 @@ GROUPS_ALGORITHMS = (
     "push_flow",
     "push_cancel_flow",
     "push_cancel_flow_hardened",
+)
+#: The kernel entry: microseconds per call of each numpy round kernel on
+#: a warm single-run engine over hypercube(log2 n), every message
+#: delivered. Informational (absolute, machine-dependent) — it is the
+#: layer-level before/after figure for kernel work; no gate reads it.
+KERNEL_SIZES = (64, 2048, 16384)  # --quick drops the largest
+KERNEL_DIMS = (1, 3)
+KERNEL_REPEATS = 25  # --quick: 7
+KERNELS = (
+    ("push_sum_round", "push_sum"),
+    ("pcf_round", "push_cancel_flow"),
+    ("pcf_hardened_round", "push_cancel_flow_hardened"),
 )
 
 
@@ -235,6 +252,55 @@ def _server_entry(bn, rounds):
         "dark_seconds": round(dark_s, 6),
         "live_seconds": round(live_s, 6),
         "live_overhead_ratio": round(live_s / max(dark_s, 1e-9), 3),
+    }
+
+
+def _kernel_entry(sizes, repeats):
+    """Microseconds per numpy kernel call, interleaved min-of-``repeats``.
+
+    Each (kernel, n, d) case owns a warm engine whose backend method is
+    wrapped to time just the kernel call. One trial steps every case
+    twice, round-robin, so machine-speed drift spreads over all cases
+    alike and the second call finds the case's arrays back in cache;
+    each case reports its fastest call.
+    """
+    cases = []
+    for kernel, algorithm in KERNELS:
+        for n in sizes:
+            for d in KERNEL_DIMS:
+                kernels = NumpyKernels()
+                call = getattr(kernels, kernel)
+                samples = []
+
+                def timed(*args, _call=call, _samples=samples):
+                    t0 = time.perf_counter()
+                    out = _call(*args)
+                    _samples.append(time.perf_counter() - t0)
+                    return out
+
+                # The instance attribute shadows the backend method the
+                # engine calls.
+                setattr(kernels, kernel, timed)
+                topo = hypercube(int(np.log2(n)))
+                values = np.random.default_rng(0).normal(size=(n, d))
+                engine = vector_engine_for(algorithm)(
+                    topo, values, np.ones(n), seed=1, backend=kernels
+                )
+                engine.run(20)  # past the first handshakes
+                samples.clear()
+                cases.append((kernel, n, d, engine, samples))
+    for _ in range(repeats):
+        for case in cases:
+            case[3].step()
+            case[3].step()
+    return {
+        "engine": "kernel",
+        "backend": "numpy",
+        "min_of": repeats,
+        "timings_us": [
+            {"kernel": kernel, "n": n, "d": d, "us": round(min(s) * 1e6, 1)}
+            for kernel, n, d, _, s in cases
+        ],
     }
 
 
@@ -411,6 +477,15 @@ def main(argv=None) -> int:
         f"{server['live_overhead_ratio']:.2f}x (informational; "
         "default-off, nothing scraping)"
     )
+    # Per-call kernel timings (informational layer figure).
+    kernel_sizes = KERNEL_SIZES[:2] if args.quick else KERNEL_SIZES
+    kernel = _kernel_entry(kernel_sizes, 7 if args.quick else KERNEL_REPEATS)
+    entries.append(kernel)
+    for row in kernel["timings_us"]:
+        print(
+            f"kernel {row['kernel']:18s} n={row['n']:5d} d={row['d']}  "
+            f"{row['us']:>9.1f} us/call (min of {kernel['min_of']})"
+        )
     payload = {
         "benchmark": "engine_throughput",
         "algorithm": ALGORITHM,
@@ -429,8 +504,9 @@ def main(argv=None) -> int:
             "The 'batched-groups' entry runs a four-algorithm campaign "
             "with one worker process per group; 'campaign-live-server' "
             "reruns a campaign with the --metrics-port HTTP plane up "
-            "(informational: default-off). Compare ratios across "
-            "commits, not absolute wall-clock."
+            "(informational: default-off). The 'kernel' entry gives "
+            "microseconds per numpy round-kernel call (informational). "
+            "Compare ratios across commits, not absolute wall-clock."
         ),
         "entries": entries,
     }

@@ -1,15 +1,21 @@
 """Pure-NumPy reference kernels.
 
-These are the round bodies the vectorized engines ran before the backend
-seam existed, moved verbatim behind :class:`KernelBackend`. They are the
-correctness reference: bit-for-bit identical to the object engine under
-scripted schedules (the engine parity suites assert this), and the
-baseline every other backend is compared against.
+These are the correctness reference: bit-for-bit identical to the object
+engine under scripted schedules (the engine parity suites assert this),
+and the baseline every other backend is compared against.
 
 Operation-order notes mirror :mod:`repro.vectorized.engines`: flow sums
 accumulate left-to-right over sorted-neighbor slots, colliding receiver
 updates go through ``np.add.at`` in ascending message order, and padded
 slots hold exact zeros so they cannot perturb rounding.
+
+The PCF kernels address edge state through flat views. Edge ``e`` is
+``node * md + slot``; copy ``a`` (0/1) of edge ``e`` is row ``2e + a`` of
+``fval.reshape(-1, d)`` and element ``2e + a`` of ``fw.reshape(-1)``, so
+the sibling copy of row ``x`` is row ``x ^ 1``. Receiver edges are unique
+within a round, so the delivery phase runs as one pass over all delivered
+messages: every branch is an ``np.where`` select, and a message whose
+branch does not apply writes back the value it just read.
 """
 
 from __future__ import annotations
@@ -19,6 +25,62 @@ from typing import Tuple
 import numpy as np
 
 from repro.vectorized.backends.base import KernelBackend
+
+
+def _flat(a: np.ndarray, *shape: int) -> np.ndarray:
+    """``a`` reshaped to ``shape`` as a view, never a copy.
+
+    The kernels write state back through these views; a reshape that
+    silently copied would drop the round's updates.
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError("kernel state arrays must be C-contiguous")
+    return a.reshape(shape)
+
+
+def _rows(a: np.ndarray, d: int) -> np.ndarray:
+    """Flat per-copy rows of ``a``: ``(rows, d)``, or ``(rows,)`` if d == 1.
+
+    Scalar payloads (d == 1) run every select and scatter on 1-D arrays.
+    """
+    return _flat(a, -1) if d == 1 else _flat(a, -1, d)
+
+
+def _per_row(mask: np.ndarray, d: int) -> np.ndarray:
+    """A per-message mask shaped to select among ``_rows`` payloads."""
+    return mask if d == 1 else mask[:, None]
+
+
+def _all_components(equal: np.ndarray, d: int) -> np.ndarray:
+    """Per message: does the comparison hold in every component?"""
+    return equal if d == 1 else np.all(equal, axis=1)
+
+
+def _add_rows(val, w, rows, add_val, add_w) -> None:
+    """``val[rows[k]] += add_val[k]``, ``w[rows[k]] += add_w[k]`` in order k.
+
+    ``val`` is ``(n, d)``. The value scatter is one 1-D ``np.add.at`` over
+    the flattened cells ``row * d + component``, listed message-major.
+    Each cell is touched only by its own component, and message ``k``'s
+    entry precedes message ``k + 1``'s, so every cell receives its
+    additions in ascending message order: the same sequence of float
+    additions as the 2-D ``np.add.at(val, rows, add_val)``.
+    """
+    d = val.shape[1]
+    cells = rows if d == 1 else ((rows * d)[:, None] + np.arange(d)).ravel()
+    np.add.at(_flat(val, -1), cells, add_val.ravel())
+    np.add.at(w, rows, add_w)
+
+
+def _delivered(delivered, *arrays):
+    """Compact per-message arrays to the delivered messages.
+
+    Skipped when every message is delivered (no loss, nothing blocked).
+    """
+    if delivered.all():
+        return arrays
+    idx = np.flatnonzero(delivered)
+    return tuple(a[idx] for a in arrays)
 
 
 class NumpyKernels(KernelBackend):
@@ -31,13 +93,15 @@ class NumpyKernels(KernelBackend):
         # Keep half, send half — the send-side halving happens regardless
         # of delivery (a dropped message loses mass, as in the real
         # protocol).
-        half_val = val[senders] * 0.5
-        half_w = w[senders] * 0.5
-        val[senders] = half_val
+        V = _rows(val, val.shape[1])
+        half_val = V.take(senders, axis=0) * 0.5
+        half_w = w.take(senders) * 0.5
+        V[senders] = half_val
         w[senders] = half_w
-        idx = np.nonzero(delivered)[0]
-        np.add.at(val, receivers[idx], half_val[idx])
-        np.add.at(w, receivers[idx], half_w[idx])
+        receivers, half_val, half_w = _delivered(
+            delivered, receivers, half_val, half_w
+        )
+        _add_rows(val, w, receivers, half_val, half_w)
 
     @staticmethod
     def _flow_totals(fval, fw) -> Tuple[np.ndarray, np.ndarray]:
@@ -87,111 +151,71 @@ class NumpyKernels(KernelBackend):
         r_slots,
         delivered,
     ) -> Tuple[int, int]:
-        d = v0.shape[1]
-        est_val = v0 - phi_val
+        md, d = c.shape[1], v0.shape[1]
+        F, FW = _rows(fval, d), _flat(fw, -1)
+        C, R = _flat(c, -1), _flat(r, -1)
+        PHI = _rows(phi_val, d)
+        est_val = v0.reshape(PHI.shape) - PHI
         est_w = w0 - phi_w
 
-        # Phase 1: virtual sends into the active slot + incremental phi.
-        act = c[senders, slots].astype(np.int64)
-        half_val = est_val[senders] * 0.5
-        half_w = est_w[senders] * 0.5
-        fval[senders, slots, act] += half_val
-        fw[senders, slots, act] += half_w
-        phi_val[senders] += half_val
+        # Phase 1: virtual sends into the active copy + incremental phi.
+        es = senders * md + slots
+        rows = 2 * es + C.take(es)
+        half_val = est_val.take(senders, axis=0) * 0.5
+        half_w = est_w.take(senders) * 0.5
+        F[rows] += half_val
+        FW[rows] += half_w
+        PHI[senders] += half_val
         phi_w[senders] += half_w
 
-        # Phase 2: snapshot payloads (both slots + control variables).
-        g_val = fval[senders, slots].copy()  # (k, 2, d)
-        g_w = fw[senders, slots].copy()  # (k, 2)
-        g_c = c[senders, slots].copy()
-        g_r = r[senders, slots].copy()
-
-        # Phase 3: deliveries. Receiver (node, slot) pairs are unique, so
-        # per-edge updates are data-parallel; only phi accumulations can
-        # collide and those go through ordered np.add.at.
-        idx = np.nonzero(delivered)[0]
-        if len(idx) == 0:
+        es, j, t = _delivered(delivered, es, receivers, r_slots)
+        if not len(es):
             return 0, 0
-        j = receivers[idx]
-        t = r_slots[idx]
-        pv = g_val[idx]  # payload flows (m, 2, d)
-        pw = g_w[idx]
-        pc = g_c[idx].astype(np.int64)
-        pr = g_r[idx]
-        m = len(idx)
+        er = j * md + t
 
-        lc = c[j, t].astype(np.int64)
-        lr = r[j, t]
-
+        # Phase 2: every read (sender payloads and receiver state) happens
+        # before any delivery write: messages cross in flight.
+        pc, pr = C.take(es), R.take(es)
+        lc, lr = C.take(er), R.take(er)
         # (adopt) peer swapped first: take over its role assignment.
-        adopt = (lc != pc) & (lr == pr)
-        lc[adopt] = pc[adopt]
-
+        lc = np.where((lc != pc) & (lr == pr), pc, lc)
         eq = lc == pc
-        a = lc
-        p = 1 - lc
+        sa = 2 * es + lc  # payload active copy (for role-consistent messages)
+        ra = 2 * er + lc  # local active copy
+        sp, rp = sa ^ 1, ra ^ 1
+        ga, gp = F.take(sa, axis=0), F.take(sp, axis=0)
+        fa, fp = F.take(ra, axis=0), F.take(rp, axis=0)
+        ga_w, gp_w, fa_w, fp_w = FW.take(sa), FW.take(sp), FW.take(ra), FW.take(rp)
 
-        # Combined phi delta per message (active repair + optional passive
-        # repair), applied once in sender order — mirrors the object
-        # engine's single phi update per received message.
-        delta_val = np.zeros((m, d))
-        delta_w = np.zeros(m)
-
-        # Active-slot PF repair (only for role-consistent messages).
-        e_idx = np.nonzero(eq)[0]
-        je, te, ae = j[e_idx], t[e_idx], a[e_idx]
-        ga_val = pv[e_idx, ae]  # (|e|, d)
-        ga_w = pw[e_idx, ae]
-        delta_val[e_idx] -= fval[je, te, ae] + ga_val
-        delta_w[e_idx] -= fw[je, te, ae] + ga_w
-        fval[je, te, ae] = -ga_val
-        fw[je, te, ae] = -ga_w
-
-        # Passive-slot handshake.
-        pe = p[e_idx]
-        f_p_val = fval[je, te, pe]
-        f_p_w = fw[je, te, pe]
-        g_p_val = pv[e_idx, pe]
-        g_p_w = pw[e_idx, pe]
-        lre = lr[e_idx]
-        pre = pr[e_idx]
-
-        conserved = np.all(g_p_val == -f_p_val, axis=1) & (g_p_w == -f_p_w)
-        peer_zero = np.all(g_p_val == 0.0, axis=1) & (g_p_w == 0.0)
-        cancel = conserved & (lre == pre)
-        swap = ~cancel & peer_zero & (lre + 1 == pre)
-        repair = ~cancel & ~swap & (lre <= pre)
-
-        # (cancel)/(swap): zero the passive copy, advance the era; the
-        # value stays absorbed in phi (no delta). Swap additionally flips
-        # roles.
-        zero_mask = cancel | swap
-        z_idx = e_idx[zero_mask]
-        jz, tz, pz = j[z_idx], t[z_idx], pe[zero_mask]
-        fval[jz, tz, pz] = 0.0
-        fw[jz, tz, pz] = 0.0
-        lr_new = lr.copy()
-        lr_new[z_idx] += 1
-        lc_new = lc.copy()
-        s_idx = e_idx[swap]
-        lc_new[s_idx] = p[s_idx]
-
+        # Phase 3: the passive-copy handshake.
+        conserved = _all_components(gp == -fp, d) & (gp_w == -fp_w)
+        peer_zero = _all_components(gp == 0.0, d) & (gp_w == 0.0)
+        cancel = eq & conserved & (lr == pr)
+        swap = eq & ~cancel & peer_zero & (lr + 1 == pr)
         # (repair): conservation violated — treat the passive like an
         # active.
-        r_idx = e_idx[repair]
-        jr, tr, prr = j[r_idx], t[r_idx], pe[repair]
-        gr_val = g_p_val[repair]
-        gr_w = g_p_w[repair]
-        delta_val[r_idx] -= fval[jr, tr, prr] + gr_val
-        delta_w[r_idx] -= fw[jr, tr, prr] + gr_w
-        fval[jr, tr, prr] = -gr_val
-        fw[jr, tr, prr] = -gr_w
+        repair = eq & ~cancel & ~swap & (lr <= pr)
+        # (cancel)/(swap): zero the passive copy, advance the era; the
+        # value stays absorbed in phi (no delta). Swap also flips roles.
+        zero = cancel | swap
 
-        # Write back control state and accumulate phi in sender order.
-        c[j, t] = lc_new.astype(np.int8)
-        r[j, t] = lr_new
-        np.add.at(phi_val, j, delta_val)
-        np.add.at(phi_w, j, delta_w)
+        # Combined phi delta per message (active PF repair + optional
+        # passive repair), accumulated from 0.0 by subtraction like the
+        # object engine; messages outside a branch keep a +0.0 delta.
+        eq_d, repair_d = _per_row(eq, d), _per_row(repair, d)
+        delta_val = np.where(eq_d, 0.0 - (fa + ga), 0.0)
+        delta_w = np.where(eq, 0.0 - (fa_w + ga_w), 0.0)
+        delta_val = np.where(repair_d, delta_val - (fp + gp), delta_val)
+        delta_w = np.where(repair, delta_w - (fp_w + gp_w), delta_w)
+
+        F[ra] = np.where(eq_d, -ga, fa)
+        FW[ra] = np.where(eq, -ga_w, fa_w)
+        F[rp] = np.where(_per_row(zero, d), 0.0, np.where(repair_d, -gp, fp))
+        FW[rp] = np.where(zero, 0.0, np.where(repair, -gp_w, fp_w))
+        C[er] = np.where(swap, 1 - lc, lc)
+        R[er] = lr + zero
+        # Accumulate phi in sender order.
+        _add_rows(phi_val, phi_w, j, delta_val, delta_w)
         return int(np.count_nonzero(cancel)), int(np.count_nonzero(swap))
 
     def pcf_hardened_round(
@@ -212,128 +236,77 @@ class NumpyKernels(KernelBackend):
         r_slots,
         delivered,
     ) -> Tuple[int, int]:
-        d = v0.shape[1]
-        est_val = v0 - phi_val
+        md, d = r.shape[1], v0.shape[1]
+        F, FW, R = _rows(fval, d), _flat(fw, -1), _flat(r, -1)
+        FZ, FZW = _rows(frozen_val, d), _flat(frozen_w, -1)
+        PHI = _rows(phi_val, d)
+        est_val = v0.reshape(PHI.shape) - PHI
         est_w = w0 - phi_w
 
-        # Phase 1: virtual sends into the era-derived active slot.
-        act = (r[senders, slots] % 2).astype(np.int64)
-        half_val = est_val[senders] * 0.5
-        half_w = est_w[senders] * 0.5
-        fval[senders, slots, act] += half_val
-        fw[senders, slots, act] += half_w
-        phi_val[senders] += half_val
+        # Phase 1: virtual sends into the era-derived active copy.
+        es = senders * md + slots
+        rows = 2 * es + R.take(es) % 2
+        half_val = est_val.take(senders, axis=0) * 0.5
+        half_w = est_w.take(senders) * 0.5
+        F[rows] += half_val
+        FW[rows] += half_w
+        PHI[senders] += half_val
         phi_w[senders] += half_w
 
-        # Phase 2: payload snapshots.
-        g_val = fval[senders, slots].copy()  # (k, 2, d)
-        g_w = fw[senders, slots].copy()
-        g_r = r[senders, slots].copy()
-        g_frozen_val = frozen_val[senders, slots].copy()
-        g_frozen_w = frozen_w[senders, slots].copy()
-
-        # Phase 3: deliveries at unique (receiver, slot) pairs.
-        idx = np.nonzero(delivered)[0]
-        if len(idx) == 0:
+        es, j, t = _delivered(delivered, es, receivers, r_slots)
+        if not len(es):
             return 0, 0
-        j = receivers[idx]
-        t = r_slots[idx]
-        pv = g_val[idx]
-        pw = g_w[idx]
-        pr = g_r[idx]
-        pfv = g_frozen_val[idx]
-        pfw = g_frozen_w[idx]
-        m = len(idx)
+        er = j * md + t
 
-        lr = r[j, t].copy()
-        ini = initiator[j, t]
-        delta_val = np.zeros((m, d))
-        delta_w = np.zeros(m)
+        # Phase 2: all reads before any delivery write.
+        pr, pfz, pfz_w = R.take(es), FZ.take(es, axis=0), FZW.take(es)
+        lr, ini = R.take(er), _flat(initiator, -1).take(er)
+        lz, lz_w = FZ.take(er, axis=0), FZW.take(er)
+        # Boundary refresh: peer one era behind, at the initiator.
+        boundary = (pr == lr - 1) & ini
+        # Frozen-verified catch-up: peer one era ahead, at the follower.
+        catch = (pr == lr + 1) & ~ini
+        lr = lr + catch
+        # Era-equal processing, including just-caught-up messages.
+        eq = pr == lr
+        follow = eq & ~ini
+        passive = boundary | follow
+        # Active copy of the (possibly advanced) era. A catch-up zeroes
+        # exactly this copy, and the boundary refresh touches the other.
+        sa = 2 * es + lr % 2
+        ra = 2 * er + lr % 2
+        sp, rp = sa ^ 1, ra ^ 1
+        ga, gp = F.take(sa, axis=0), F.take(sp, axis=0)
+        fa, fp = F.take(ra, axis=0), F.take(rp, axis=0)
+        ga_w, gp_w, fa_w, fp_w = FW.take(sa), FW.take(sp), FW.take(ra), FW.take(rp)
 
-        in_window = (pr >= lr - 1) & (pr <= lr + 1)
+        # Phase 3. Initiator: cancel when the follower mirrors exactly.
+        conserved = _all_components(gp == -fp, d) & (gp_w == -fp_w)
+        cancel = eq & ini & conserved
 
-        # --- boundary refresh (peer one era behind, at the initiator) ----
-        boundary = in_window & (pr == lr - 1) & ini
-        b_idx = np.nonzero(boundary)[0]
-        if len(b_idx):
-            jb, tb = j[b_idx], t[b_idx]
-            pb = 1 - (lr[b_idx] % 2)  # local passive == peer's stale active
-            gb_val = pv[b_idx, pb]
-            gb_w = pw[b_idx, pb]
-            delta_val[b_idx] -= fval[jb, tb, pb] + gb_val
-            delta_w[b_idx] -= fw[jb, tb, pb] + gb_w
-            fval[jb, tb, pb] = -gb_val
-            fw[jb, tb, pb] = -gb_w
+        # Phi delta from 0.0, in the object engine's order: catch-up term,
+        # active PF repair (the caught-up copy reads its fresh 0.0), then
+        # the passive term of the boundary refresh or the follower.
+        catch_d, eq_d = _per_row(catch, d), _per_row(eq, d)
+        passive_d, cancel_d = _per_row(passive, d), _per_row(cancel, d)
+        delta_val = np.where(catch_d, 0.0 - (fa + pfz), 0.0)
+        delta_w = np.where(catch, 0.0 - (fa_w + pfz_w), 0.0)
+        delta_val = np.where(
+            eq_d, delta_val - (np.where(catch_d, 0.0, fa) + ga), delta_val
+        )
+        delta_w = np.where(
+            eq, delta_w - (np.where(catch, 0.0, fa_w) + ga_w), delta_w
+        )
+        delta_val = np.where(passive_d, delta_val - (fp + gp), delta_val)
+        delta_w = np.where(passive, delta_w - (fp_w + gp_w), delta_w)
 
-        # --- frozen-verified catch-up (peer ahead, at the follower) ------
-        catch = in_window & (pr == lr + 1) & ~ini
-        c_idx = np.nonzero(catch)[0]
-        catch_ups = len(c_idx)
-        if len(c_idx):
-            jc, tc = j[c_idx], t[c_idx]
-            pc = 1 - (lr[c_idx] % 2)
-            fz_val = pfv[c_idx]
-            fz_w = pfw[c_idx]
-            delta_val[c_idx] -= fval[jc, tc, pc] + fz_val
-            delta_w[c_idx] -= fw[jc, tc, pc] + fz_w
-            fval[jc, tc, pc] = -fz_val
-            fw[jc, tc, pc] = -fz_w
-            frozen_val[jc, tc] = -fz_val
-            frozen_w[jc, tc] = -fz_w
-            fval[jc, tc, pc] = 0.0
-            fw[jc, tc, pc] = 0.0
-            lr[c_idx] += 1
-
-        # --- era-equal processing (includes just-caught-up messages) -----
-        cancels = 0
-        eq = in_window & ((pr == lr) | catch)
-        e_idx = np.nonzero(eq)[0]
-        if len(e_idx):
-            je, te = j[e_idx], t[e_idx]
-            ae = (lr[e_idx] % 2).astype(np.int64)
-            pe = 1 - ae
-            erange = e_idx
-            # Active-slot PF repair.
-            ga_val = pv[erange, ae]
-            ga_w = pw[erange, ae]
-            delta_val[e_idx] -= fval[je, te, ae] + ga_val
-            delta_w[e_idx] -= fw[je, te, ae] + ga_w
-            fval[je, te, ae] = -ga_val
-            fw[je, te, ae] = -ga_w
-
-            gp_val = pv[erange, pe]
-            gp_w = pw[erange, pe]
-            f_p_val = fval[je, te, pe]
-            f_p_w = fw[je, te, pe]
-            ini_e = ini[e_idx]
-
-            # Initiator: cancel when the follower mirrors exactly.
-            conserved = np.all(gp_val == -f_p_val, axis=1) & (gp_w == -f_p_w)
-            cancel = ini_e & conserved
-            z = np.nonzero(cancel)[0]
-            if len(z):
-                jz, tz, pz = je[z], te[z], pe[z]
-                frozen_val[jz, tz] = fval[jz, tz, pz]
-                frozen_w[jz, tz] = fw[jz, tz, pz]
-                fval[jz, tz, pz] = 0.0
-                fw[jz, tz, pz] = 0.0
-                lr[e_idx[z]] += 1
-                cancels = len(z)
-
-            # Follower: track the initiator's reference copy.
-            follow = ~ini_e
-            f = np.nonzero(follow)[0]
-            if len(f):
-                jf, tf, pf = je[f], te[f], pe[f]
-                gf_val = gp_val[f]
-                gf_w = gp_w[f]
-                delta_val[e_idx[f]] -= fval[jf, tf, pf] + gf_val
-                delta_w[e_idx[f]] -= fw[jf, tf, pf] + gf_w
-                fval[jf, tf, pf] = -gf_val
-                fw[jf, tf, pf] = -gf_w
-
-        # Write back eras; accumulate phi in sender order.
-        r[j, t] = lr
-        np.add.at(phi_val, j, delta_val)
-        np.add.at(phi_w, j, delta_w)
-        return cancels, catch_ups
+        F[ra] = np.where(eq_d, -ga, fa)
+        FW[ra] = np.where(eq, -ga_w, fa_w)
+        F[rp] = np.where(cancel_d, 0.0, np.where(passive_d, -gp, fp))
+        FW[rp] = np.where(cancel, 0.0, np.where(passive, -gp_w, fp_w))
+        FZ[er] = np.where(catch_d, -pfz, np.where(cancel_d, fp, lz))
+        FZW[er] = np.where(catch, -pfz_w, np.where(cancel, fp_w, lz_w))
+        R[er] = lr + cancel
+        # Accumulate phi in sender order.
+        _add_rows(phi_val, phi_w, j, delta_val, delta_w)
+        return int(np.count_nonzero(cancel)), int(np.count_nonzero(catch))

@@ -325,8 +325,12 @@ class VectorizedEngine(abc.ABC):
         self, senders: np.ndarray, slots: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Receivers and the receiver-side slots for these sends."""
-        receivers = self._arrays.nbr[senders, slots].astype(np.int64)
-        receiver_slots = self._arrays.slot_of[senders, slots].astype(np.int64)
+        arrays = self._arrays
+        # One flat edge index, two 1-D takes (the tables are C-contiguous,
+        # so ravel() is a view).
+        edges = senders * arrays.max_degree + slots
+        receivers = arrays.nbr.ravel().take(edges).astype(np.int64)
+        receiver_slots = arrays.slot_of.ravel().take(edges).astype(np.int64)
         return receivers, receiver_slots
 
     def _zero_failed_links(self, nodes: np.ndarray, slots: np.ndarray) -> None:
